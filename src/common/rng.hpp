@@ -9,7 +9,7 @@
 // The thesis realises the Bernoulli(p) gate with an amplified-thermal-noise
 // circuit (Sec. 3.2.3); this is its deterministic functional equivalent.
 //
-// Draw-sequence contract (v2): bernoulli(), below() and uniform() map
+// Draw-sequence contract (v3): bernoulli(), below() and uniform() map
 // raw mt19937_64 words directly instead of going through the standard
 // <random> distribution adaptors, because the engine's forward phase
 // calls bernoulli() once per output port per held message per round and
@@ -24,6 +24,12 @@
 //     jitter only) — its per-call construction is documented, not a bug:
 //     the distribution caches a second Box-Muller variate that would go
 //     stale across calls with different (mean, stddev) parameters.
+// v3 changed the "fault/upset" stream only: FaultInjector's random-bit-error
+// model draws one uniform() per geometric gap between flipped bits (plus
+// below() when none flipped) instead of one bernoulli() per wire bit, and
+// the random-error-vector model takes eight bytes from each bits() word
+// instead of one.  The laws are unchanged (test_fault's UpsetLaw tests);
+// runs without upsets draw exactly as under v2.
 // Any change to these mappings shifts every downstream stochastic
 // trajectory; tests assert distributions and determinism, never exact
 // sequences, so the mappings may evolve — but bump this note when they do.

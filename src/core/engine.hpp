@@ -212,7 +212,7 @@ private:
 
     std::vector<Tile> tiles_;
     std::vector<RngStream> forward_rng_;
-    std::vector<RngStream> app_rng_;
+    std::vector<std::optional<RngStream>> app_rng_; ///< seeded on first use: most IPs draw none
     std::vector<std::size_t> forward_capacity_;
     std::vector<RouteFilter> route_filter_;
     std::vector<double> clock_scale_;

@@ -411,7 +411,7 @@ void EventEngine::step() {
         forward_phase();
     }
     clock_phase();
-    net_.metrics_.packets_per_round.push_back(net_.packets_this_round_);
+    net_.metrics_.add_round_packets(net_.round_, net_.packets_this_round_);
     ++net_.round_;
     net_.metrics_.rounds = net_.round_;
     MetricsRegistry::global().inc(MetricId::EventEngineRoundsTotal);

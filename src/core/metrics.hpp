@@ -32,7 +32,10 @@ struct NetworkMetrics {
     std::size_t fec_corrected{0};     ///< SECDED words repaired at receivers.
     std::size_t fec_uncorrectable{0}; ///< packets lost to multi-bit upsets.
 
-    /// packets sent in each round (index = round).
+    /// packets sent in each round (index = round).  The series ends at
+    /// the last round that carried a packet: quiet rounds after it are not
+    /// stored, so a run capped long after quiescence keeps no tail of
+    /// zeros (rounds inside the series may still read 0).
     std::vector<std::size_t> packets_per_round;
 
     /// wire bits transmitted by each tile (index = tile) — lets island-
@@ -44,6 +47,14 @@ struct NetworkMetrics {
     /// network, thereby reducing the chances that packets are delayed
     /// because of congestion" — this is the evidence.
     std::vector<std::size_t> packets_by_link;
+
+    /// Count `packets` sent in `round`, growing packets_per_round on
+    /// demand; a zero count stores nothing.
+    void add_round_packets(std::size_t round, std::size_t packets) {
+        if (packets == 0) return;
+        if (packets_per_round.size() <= round) packets_per_round.resize(round + 1, 0);
+        packets_per_round[round] += packets;
+    }
 
     /// Max-to-mean ratio of per-link traffic (1 = perfectly even).
     double link_hotspot_factor() const {

@@ -1,6 +1,8 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 
 #include "common/expect.hpp"
 
@@ -68,12 +70,6 @@ CrashState FaultInjector::roll_exact_tile_crashes(
     return state;
 }
 
-bool FaultInjector::maybe_upset(Packet& packet) {
-    if (!upset_roll()) return false;
-    apply_upset(packet.mutable_wire());
-    return true;
-}
-
 bool FaultInjector::upset_roll() {
     return upset_rng_.bernoulli(scenario_.p_upset);
 }
@@ -93,28 +89,38 @@ void FaultInjector::corrupt(std::vector<std::byte>& wire) {
 
     switch (scenario_.upset_model) {
     case UpsetModel::RandomBitError: {
-        // e_1..e_n independent with small p_b; conditioned on the packet
-        // being upset at least one bit flips.  Expected flips ~ 2 models a
-        // burst-free DSM noise event (crosstalk glitch on a couple of
-        // wires) while keeping P[packet scrambled] == p_upset exactly.
+        // e_1..e_n independent with p_b = 2/n, so ~2 bits flip: a burst-free
+        // DSM noise event (crosstalk glitch on a couple of wires).  If no
+        // bit flipped, one uniform bit is flipped instead, so every upset
+        // scrambles the packet and P[packet scrambled] == p_upset exactly.
+        // That fallback is not conditioning on >= 1 flip: it moves the
+        // zero-flip mass Bin(0) onto K = 1, where conditioning would spread
+        // it over every K >= 1.
+        //
+        // Flip positions are sampled by their gaps, each geometric(p_b) by
+        // inverse CDF, so an upset costs flips + 1 uniforms, not n draws.
+        const auto n = static_cast<double>(nbits);
+        const double log_q = std::log1p(-2.0 / n);
+        auto gap = [&] { return std::floor(std::log1p(-upset_rng_.uniform()) / log_q); };
         std::size_t flips = 0;
-        for (std::size_t b = 0; b < nbits; ++b) {
-            if (upset_rng_.bernoulli(2.0 / static_cast<double>(nbits))) {
-                flip(b);
-                ++flips;
-            }
+        for (double b = gap(); b < n; b += 1.0 + gap()) {
+            flip(static_cast<std::size_t>(b));
+            ++flips;
         }
         if (flips == 0) flip(static_cast<std::size_t>(upset_rng_.below(nbits)));
         break;
     }
     case UpsetModel::RandomErrorVector: {
-        // All 2^n - 1 non-null vectors equally likely: draw uniform random
-        // bytes, redraw if the all-zero vector comes up.
+        // All 2^n - 1 non-null vectors equally likely: XOR uniform random
+        // bytes, eight from each engine word, and redraw the whole vector
+        // if the all-zero one comes up.
         bool nonzero = false;
         while (!nonzero) {
-            for (auto& b : wire) {
-                const auto r = static_cast<std::uint8_t>(upset_rng_.bits() & 0xFF);
-                b ^= static_cast<std::byte>(r);
+            std::uint64_t word = 0;
+            for (std::size_t i = 0; i < wire.size(); ++i) {
+                if (i % 8 == 0) word = upset_rng_.bits();
+                const auto r = static_cast<std::uint8_t>(word >> (8 * (i % 8)));
+                wire[i] ^= static_cast<std::byte>(r);
                 nonzero = nonzero || r != 0;
             }
         }

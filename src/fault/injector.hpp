@@ -42,16 +42,11 @@ public:
     CrashState roll_exact_tile_crashes(const Topology& topo, std::size_t k,
                                        const std::vector<TileId>& protected_tiles = {});
 
-    /// Possibly scramble a packet in flight (probability p_upset).
-    /// Returns true iff the packet was corrupted.
-    bool maybe_upset(Packet& packet);
-
-    /// The gate half of maybe_upset: roll whether this transmission is
-    /// upset without touching any bytes.  Pair with apply_upset() — the
-    /// engine shares one encoded wire image across a round's port
-    /// transmissions and copies the bytes only when a transmission is
-    /// actually upset, so the decision must come before the copy.
-    /// Draw-for-draw identical to maybe_upset()'s gate.
+    /// Roll whether this transmission is upset (probability p_upset)
+    /// without touching any bytes.  Pair with apply_upset() — the engine
+    /// shares one encoded wire image across a round's port transmissions
+    /// and copies the bytes only when a transmission is actually upset, so
+    /// the decision must come before the copy.
     bool upset_roll();
 
     /// The corruption half: scramble wire bytes in place (and count the

@@ -28,9 +28,7 @@ void Accounting::transmitted(Round round, TileId from, TileId to, LinkId link,
     if (from < metrics_.bits_sent_by_tile.size())
         metrics_.bits_sent_by_tile[from] += bits;
     if (link < metrics_.packets_by_link.size()) ++metrics_.packets_by_link[link];
-    if (metrics_.packets_per_round.size() <= round)
-        metrics_.packets_per_round.resize(round + 1, 0);
-    ++metrics_.packets_per_round[round];
+    metrics_.add_round_packets(round, 1);
     emit(sink_, round, TraceEventKind::Transmitted, from, to, id);
 }
 

@@ -249,6 +249,34 @@ TEST(EngineEquivalence, EventEngineMatchesLockstep) {
     }
 }
 
+TEST(EngineEquivalence, PacketsPerRoundEndsAtLastTransmittingRound) {
+    // A run capped long after its rumor died keeps no tail of quiet
+    // rounds: the series ends at the last round that carried a packet,
+    // still sums to packets_sent, and both engines store the same one.
+    constexpr std::size_t kCap = 400;
+    std::vector<NetworkMetrics> runs;
+    for (EngineSelect engine : {EngineSelect{}, EngineSelect{EngineKind::Event, 2}}) {
+        GossipConfig config;
+        config.forward_p = 0.5;
+        config.default_ttl = 16;
+        GossipNetwork net(Topology::mesh(4, 4), config, FaultScenario::none(), 3, engine);
+        net.attach(0, std::make_unique<BroadcastSource>());
+        for (std::size_t i = 0; i < kCap; ++i) net.step();
+        runs.push_back(net.metrics());
+    }
+    for (const NetworkMetrics& m : runs) {
+        EXPECT_EQ(m.rounds, kCap);
+        const auto& per_round = m.packets_per_round;
+        ASSERT_FALSE(per_round.empty());
+        EXPECT_GT(per_round.back(), 0u);
+        EXPECT_LT(per_round.size(), kCap / 4);
+        std::size_t sum = 0;
+        for (std::size_t n : per_round) sum += n;
+        EXPECT_EQ(sum, m.packets_sent);
+    }
+    expect_metrics_equal(runs[0], runs[1], "capped broadcast");
+}
+
 TEST(EngineEquivalence, ScenariosActuallyExerciseTheHotPaths) {
     // Guard against the equivalence test silently testing nothing: the
     // grid must produce traffic, upsets, skew deferrals and FEC repairs.
