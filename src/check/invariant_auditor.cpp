@@ -105,22 +105,9 @@ void InvariantAuditor::check_monotonic(const CounterSnapshot& now) {
                 violate("counter-monotonicity", os.str());
             }
         };
-        mono(last_.rounds, now.rounds, "rounds");
-        mono(last_.packets_sent, now.packets_sent, "packets_sent");
-        mono(last_.bits_sent, now.bits_sent, "bits_sent");
-        mono(last_.messages_created, now.messages_created, "messages_created");
-        mono(last_.deliveries, now.deliveries, "deliveries");
-        mono(last_.duplicates_ignored, now.duplicates_ignored, "duplicates_ignored");
-        mono(last_.crc_drops, now.crc_drops, "crc_drops");
-        mono(last_.overflow_drops, now.overflow_drops, "overflow_drops");
-        mono(last_.ttl_expired, now.ttl_expired, "ttl_expired");
-        mono(last_.crash_drops, now.crash_drops, "crash_drops");
-        mono(last_.port_overflow_drops, now.port_overflow_drops, "port_overflow_drops");
-        mono(last_.packets_accepted, now.packets_accepted, "packets_accepted");
-        mono(last_.fec_uncorrectable, now.fec_uncorrectable, "fec_uncorrectable");
-        mono(last_.skew_deferrals, now.skew_deferrals, "skew_deferrals");
-        mono(last_.upsets_undetected, now.upsets_undetected, "upsets_undetected");
-        mono(last_.fec_corrected, now.fec_corrected, "fec_corrected");
+#define SNOC_NETWORK_COUNTER_MONO(name, doc) mono(last_.name, now.name, #name);
+        SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_MONO)
+#undef SNOC_NETWORK_COUNTER_MONO
     }
     last_ = now;
     have_snapshot_ = true;
@@ -140,22 +127,9 @@ void InvariantAuditor::check_round(const GossipNetwork& net) {
     check_metrics(m, /*include_round_histogram=*/false);
 
     CounterSnapshot now;
-    now.rounds = m.rounds;
-    now.packets_sent = m.packets_sent;
-    now.bits_sent = m.bits_sent;
-    now.messages_created = m.messages_created;
-    now.deliveries = m.deliveries;
-    now.duplicates_ignored = m.duplicates_ignored;
-    now.crc_drops = m.crc_drops;
-    now.overflow_drops = m.overflow_drops;
-    now.ttl_expired = m.ttl_expired;
-    now.crash_drops = m.crash_drops;
-    now.port_overflow_drops = m.port_overflow_drops;
-    now.packets_accepted = m.packets_accepted;
-    now.fec_uncorrectable = m.fec_uncorrectable;
-    now.skew_deferrals = m.skew_deferrals;
-    now.upsets_undetected = m.upsets_undetected;
-    now.fec_corrected = m.fec_corrected;
+#define SNOC_NETWORK_COUNTER_COPY(name, doc) now.name = m.name;
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_COPY)
+#undef SNOC_NETWORK_COUNTER_COPY
     check_monotonic(now);
 
     const std::size_t tiles = net.topology().node_count();

@@ -116,11 +116,9 @@ private:
 
     // Scalar counters that must never decrease between rounds.
     struct CounterSnapshot {
-        std::size_t rounds{0}, packets_sent{0}, bits_sent{0}, messages_created{0},
-            deliveries{0}, duplicates_ignored{0}, crc_drops{0}, overflow_drops{0},
-            ttl_expired{0}, crash_drops{0}, port_overflow_drops{0},
-            packets_accepted{0}, fec_uncorrectable{0}, skew_deferrals{0},
-            upsets_undetected{0}, fec_corrected{0};
+#define SNOC_NETWORK_COUNTER_FIELD(name, doc) std::size_t name{0};
+        SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_FIELD)
+#undef SNOC_NETWORK_COUNTER_FIELD
     };
     void check_monotonic(const CounterSnapshot& now);
 

@@ -137,21 +137,10 @@ GossipNetwork::StepSink EventEngine::shard_sink(Shard& sh) {
 
 void EventEngine::merge_delta(NetworkMetrics& delta) {
     NetworkMetrics& m = net_.metrics_;
-    m.packets_sent += delta.packets_sent;
-    m.bits_sent += delta.bits_sent;
-    m.messages_created += delta.messages_created;
-    m.deliveries += delta.deliveries;
-    m.duplicates_ignored += delta.duplicates_ignored;
-    m.crc_drops += delta.crc_drops;
-    m.upsets_undetected += delta.upsets_undetected;
-    m.overflow_drops += delta.overflow_drops;
-    m.ttl_expired += delta.ttl_expired;
-    m.crash_drops += delta.crash_drops;
-    m.port_overflow_drops += delta.port_overflow_drops;
-    m.packets_accepted += delta.packets_accepted;
-    m.skew_deferrals += delta.skew_deferrals;
-    m.fec_corrected += delta.fec_corrected;
-    m.fec_uncorrectable += delta.fec_uncorrectable;
+    // delta.rounds stays 0: only the serial round close counts rounds.
+#define SNOC_NETWORK_COUNTER_MERGE(name, doc) m.name += delta.name;
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_MERGE)
+#undef SNOC_NETWORK_COUNTER_MERGE
     delta = NetworkMetrics{};
 }
 

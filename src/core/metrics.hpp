@@ -8,29 +8,38 @@
 
 namespace snoc {
 
+/// The scalar counters, one row each: X(name, "doc").  The row order is
+/// the field order and the metrics-JSON key order; the struct fields,
+/// the JSON summary, the invariant auditor's monotonicity snapshot, the
+/// event engine's shard-delta merge and the engine-equivalence
+/// comparator all expand these rows.  The conservation ledger
+/// (check/ledger.hpp) is an equation over a subset of them (crash_drops,
+/// port_overflow_drops and packets_accepted exist to complete its
+/// per-copy fate accounting) and stays hand-written.
+#define SNOC_NETWORK_COUNTER_LIST(X)                                           \
+    X(rounds, "rounds executed")                                               \
+    X(packets_sent, "total link transmissions")                                \
+    X(bits_sent, "exact wire bits (for Eq. 3)")                                \
+    X(messages_created, "unique messages injected by IPs")                     \
+    X(deliveries, "first-time deliveries to destination IPs")                  \
+    X(duplicates_ignored, "re-received known messages")                        \
+    X(crc_drops, "packets discarded by CRC check")                             \
+    X(upsets_undetected, "corrupted packets the CRC missed")                   \
+    X(overflow_drops, "forced p_overflow + capacity drops")                    \
+    X(ttl_expired, "messages garbage-collected at TTL 0")                      \
+    X(crash_drops, "transmissions sunk into dead tiles")                       \
+    X(port_overflow_drops, "the receive-side slice of overflow_drops (the "    \
+                           "rest are send-buffer evictions)")                  \
+    X(packets_accepted, "wire copies merged into a send buffer "               \
+                        "(non-duplicate receives)")                            \
+    X(skew_deferrals, "arrivals pushed a round by clock skew")                 \
+    X(fec_corrected, "SECDED words repaired at receivers")                     \
+    X(fec_uncorrectable, "packets lost to multi-bit upsets")
+
 struct NetworkMetrics {
-    std::size_t rounds{0};            ///< rounds executed.
-    std::size_t packets_sent{0};      ///< total link transmissions.
-    std::size_t bits_sent{0};         ///< exact wire bits (for Eq. 3).
-    std::size_t messages_created{0};  ///< unique messages injected by IPs.
-    std::size_t deliveries{0};        ///< first-time deliveries to destination IPs.
-    std::size_t duplicates_ignored{0};///< re-received known messages.
-    std::size_t crc_drops{0};         ///< packets discarded by CRC check.
-    std::size_t upsets_undetected{0}; ///< corrupted packets the CRC missed.
-    std::size_t overflow_drops{0};    ///< forced p_overflow + capacity drops.
-    std::size_t ttl_expired{0};       ///< messages garbage-collected at TTL 0.
-    // Conservation-ledger taxonomy (see check/ledger.hpp): these three
-    // complete the per-copy fate accounting so the InvariantAuditor can
-    // verify injected == delivered + dropped(...) + in-flight exactly.
-    std::size_t crash_drops{0};         ///< transmissions sunk into dead tiles.
-    std::size_t port_overflow_drops{0}; ///< the receive-side slice of
-                                        ///< overflow_drops (the rest are
-                                        ///< send-buffer evictions).
-    std::size_t packets_accepted{0};    ///< wire copies merged into a send
-                                        ///< buffer (non-duplicate receives).
-    std::size_t skew_deferrals{0};    ///< arrivals pushed a round by clock skew.
-    std::size_t fec_corrected{0};     ///< SECDED words repaired at receivers.
-    std::size_t fec_uncorrectable{0}; ///< packets lost to multi-bit upsets.
+#define SNOC_NETWORK_COUNTER_FIELD(name, doc) std::size_t name{0};
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_FIELD)
+#undef SNOC_NETWORK_COUNTER_FIELD
 
     /// packets sent in each round (index = round).  The series ends at
     /// the last round that carried a packet: quiet rounds after it are not

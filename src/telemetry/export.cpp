@@ -201,22 +201,9 @@ void write_metrics_json(const NetworkMetrics& metrics, std::ostream& os) {
         os << (first ? "{\n" : ",\n") << "  \"" << name << "\": " << value;
         first = false;
     };
-    field("rounds", metrics.rounds);
-    field("packets_sent", metrics.packets_sent);
-    field("bits_sent", metrics.bits_sent);
-    field("messages_created", metrics.messages_created);
-    field("deliveries", metrics.deliveries);
-    field("duplicates_ignored", metrics.duplicates_ignored);
-    field("crc_drops", metrics.crc_drops);
-    field("upsets_undetected", metrics.upsets_undetected);
-    field("overflow_drops", metrics.overflow_drops);
-    field("ttl_expired", metrics.ttl_expired);
-    field("crash_drops", metrics.crash_drops);
-    field("port_overflow_drops", metrics.port_overflow_drops);
-    field("packets_accepted", metrics.packets_accepted);
-    field("skew_deferrals", metrics.skew_deferrals);
-    field("fec_corrected", metrics.fec_corrected);
-    field("fec_uncorrectable", metrics.fec_uncorrectable);
+#define SNOC_NETWORK_COUNTER_JSON(name, doc) field(#name, metrics.name);
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_JSON)
+#undef SNOC_NETWORK_COUNTER_JSON
     // Derived figures, with fixed precision so output stays byte-stable.
     std::ostringstream derived;
     derived.setf(std::ios::fixed);

@@ -169,8 +169,8 @@ void write_postmortem_bundle(const FlightRecorder& recorder,
            << "\":" << totals[k];
     os << '}';
     if (info.has_metrics) {
-        // Reuse the canonical flat metrics object (snoc_lint holds it in
-        // lock-step with NetworkMetrics), inlined under one key.
+        // Reuse the canonical flat metrics object (generated from
+        // SNOC_NETWORK_COUNTER_LIST), inlined under one key.
         std::ostringstream metrics;
         write_metrics_json(info.metrics, metrics);
         std::string flat = metrics.str();

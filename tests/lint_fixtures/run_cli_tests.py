@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regression tests for the snoc_lint CLI surface (ctest label `lint`):
 
-* the scripts/lint_determinism.py compat shim forwards snoc_lint's exit
-  status verbatim (0 clean, 1 findings) instead of always succeeding;
+* `--only determinism,rng,allowlist` exits with snoc_lint's status
+  contract (0 clean, 1 findings, 2 broken configuration) instead of
+  always succeeding;
 * --baseline-prune drops exactly the stale suppressions and keeps the
   live ones;
 * SARIF severity follows the per-rule map (error for structural rules,
@@ -24,7 +25,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 FIXTURES = Path(__file__).resolve().parent
 TOOL = REPO_ROOT / "tools" / "snoc_lint"
-SHIM = REPO_ROOT / "scripts" / "lint_determinism.py"
+DETERMINISM_ONLY = ["--only", "determinism,rng,allowlist"]
 
 FAILURES: list[str] = []
 
@@ -39,19 +40,19 @@ def run(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(args, capture_output=True, text=True, check=False)
 
 
-def shim_exit_codes() -> None:
-    dirty = run([sys.executable, str(SHIM),
+def only_exit_codes() -> None:
+    dirty = run([sys.executable, str(TOOL), *DETERMINISM_ONLY,
                  "--root", str(FIXTURES / "raw_distribution"), "--no-baseline"])
-    check("shim exits 1 on a determinism-family finding",
-          dirty.returncode == 1,
+    check("--only determinism exits 1 on a determinism-family finding",
+          dirty.returncode == 1 and "[rng-raw-dist]" in dirty.stdout,
           f"exit {dirty.returncode}: {dirty.stderr.strip()}")
-    clean = run([sys.executable, str(SHIM),
+    clean = run([sys.executable, str(TOOL), *DETERMINISM_ONLY,
                  "--root", str(FIXTURES / "clean"), "--no-baseline"])
-    check("shim exits 0 on a clean tree",
+    check("--only determinism exits 0 on a clean tree",
           clean.returncode == 0,
           f"exit {clean.returncode}: {clean.stderr.strip()}")
-    bad = run([sys.executable, str(SHIM), "--only", "nonsense"])
-    check("shim forwards config errors as exit 2",
+    bad = run([sys.executable, str(TOOL), "--only", "nonsense"])
+    check("--only nonsense is a config error, exit 2",
           bad.returncode == 2,
           f"exit {bad.returncode}: {bad.stderr.strip()}")
 
@@ -130,7 +131,7 @@ def sarif_levels() -> None:
 
 
 def main() -> int:
-    shim_exit_codes()
+    only_exit_codes()
     baseline_prune()
     sarif_levels()
     if FAILURES:

@@ -190,19 +190,9 @@ RunOutput run_output(const Scenario& s, std::uint64_t seed,
 
 void expect_metrics_equal(const NetworkMetrics& a, const NetworkMetrics& b,
                           const std::string& label) {
-    EXPECT_EQ(a.rounds, b.rounds) << label;
-    EXPECT_EQ(a.packets_sent, b.packets_sent) << label;
-    EXPECT_EQ(a.bits_sent, b.bits_sent) << label;
-    EXPECT_EQ(a.messages_created, b.messages_created) << label;
-    EXPECT_EQ(a.deliveries, b.deliveries) << label;
-    EXPECT_EQ(a.duplicates_ignored, b.duplicates_ignored) << label;
-    EXPECT_EQ(a.crc_drops, b.crc_drops) << label;
-    EXPECT_EQ(a.upsets_undetected, b.upsets_undetected) << label;
-    EXPECT_EQ(a.overflow_drops, b.overflow_drops) << label;
-    EXPECT_EQ(a.ttl_expired, b.ttl_expired) << label;
-    EXPECT_EQ(a.skew_deferrals, b.skew_deferrals) << label;
-    EXPECT_EQ(a.fec_corrected, b.fec_corrected) << label;
-    EXPECT_EQ(a.fec_uncorrectable, b.fec_uncorrectable) << label;
+#define SNOC_NETWORK_COUNTER_EQ(name, doc) EXPECT_EQ(a.name, b.name) << label;
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_EQ)
+#undef SNOC_NETWORK_COUNTER_EQ
     EXPECT_EQ(a.packets_per_round, b.packets_per_round) << label;
     EXPECT_EQ(a.bits_sent_by_tile, b.bits_sent_by_tile) << label;
     EXPECT_EQ(a.packets_by_link, b.packets_by_link) << label;

@@ -59,7 +59,6 @@ PROJECT_LEVEL_FILES = {
     concurrency.ORDERING_ALLOWLIST_FILE,
     report.BASELINE_FILE,
     registry.TRACE_HEADER,
-    registry.METRICS_HEADER,
 }
 
 

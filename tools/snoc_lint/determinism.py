@@ -1,11 +1,11 @@
 """Determinism + RNG-discipline checkers.
 
-Absorbs the former standalone scripts/lint_determinism.py: same rules,
-same allowlist file and format, but running on the shared Project walk
-and reporting through the one snoc_lint report (scripts/
-lint_determinism.py remains as a thin compatibility shim).
+The determinism family (`--only determinism,rng,allowlist`): runs on
+the shared Project walk with the allowlist in
+scripts/determinism_allowlist.txt and reports through the one snoc_lint
+report.
 
-New over the old script:
+Beyond the hard and unordered-container rules:
 * rng-raw-dist — all randomness must flow through common/rng.hpp's
   RngStream; constructing a `std::*_distribution` anywhere outside
   src/common/ bypasses the cached-threshold/stream discipline and is

@@ -7,10 +7,6 @@ lock-step with the code that feeds them.
   kinds) and at least one test reference (enumerator or wire name in
   tests/) — an orphan kind is dead vocabulary that silently skews every
   "all kinds" table.
-* Every scalar `NetworkMetrics` counter must be named in the telemetry
-  metrics-summary exporter and in the invariant auditor — a counter
-  missing from either escapes both the artifact record and the
-  self-consistency audit.
 * Every `SNOC_CHECK(level, ...)` level argument must be the literal 0, 1
   or 2 (the only levels the build system accepts).
 * Every `MetricId` in the SNOC_METRIC_LIST X-macro must have at least
@@ -36,9 +32,6 @@ TRACE_HEADER = "src/sim/trace.hpp"
 METRIC_REGISTRY_HEADER = "src/telemetry/metrics_registry.hpp"
 METRIC_GOLDENS = ("tests/golden/metrics_registry.json.golden",
                   "tests/golden/metrics_registry.prom.golden")
-METRICS_HEADER = "src/core/metrics.hpp"
-AUDITOR_SOURCE = "src/check/invariant_auditor.cpp"
-METRICS_EXPORTER = "src/telemetry/export.cpp"
 INTERCONNECT_HEADER = "src/core/interconnect.hpp"
 
 XMACRO_ENTRY = re.compile(r'\bX\(\s*(\w+)\s*,\s*"([^"]+)"\s*\)')
@@ -46,7 +39,6 @@ XMACRO_ENTRY = re.compile(r'\bX\(\s*(\w+)\s*,\s*"([^"]+)"\s*\)')
 # with a backslash continuation between Name and the wire string.
 METRIC_ENTRY = re.compile(
     r'\bX\(\s*(counter|gauge|histogram)\s*,\s*(\w+)\s*,[\s\\]*"([^"]+)"')
-METRICS_FIELD = re.compile(r"^\s*std::size_t\s+(\w+)\s*\{0\}\s*;", re.MULTILINE)
 SNOC_CHECK_CALL = re.compile(r"\bSNOC_CHECK\(\s*([^,\s][^,]*?)\s*,")
 BACKEND_ENUMERATOR = re.compile(r"^\s*([A-Z]\w*)\s*,", re.MULTILINE)
 EQUIVALENCE_MARKER = re.compile(r"engine-equivalence-backends:\s*([a-z][a-z ]*)")
@@ -99,16 +91,6 @@ def parse_metric_entries(project: Project) -> list[tuple[str, str, str]]:
     return METRIC_ENTRY.findall(region)
 
 
-def parse_metrics_counters(project: Project) -> list[str]:
-    header = project.files.get(METRICS_HEADER)
-    if header is None:
-        return []
-    start = header.code.find("struct NetworkMetrics")
-    if start < 0:
-        return []
-    return METRICS_FIELD.findall(header.code[start:])
-
-
 def check_registries(project: Project) -> list[Finding]:
     findings: list[Finding] = []
 
@@ -137,28 +119,6 @@ def check_registries(project: Project) -> list[Finding]:
                     message=f"TraceEventKind::{name} (wire \"{wire}\") is "
                             "never referenced by a test in tests/",
                     key=f"test:{name}"))
-
-    counters = parse_metrics_counters(project)
-    if counters:
-        exporter = project.files.get(METRICS_EXPORTER)
-        auditor = project.files.get(AUDITOR_SOURCE)
-        for counter in counters:
-            if exporter is not None and \
-                    not re.search(rf"\b{counter}\b", exporter.code):
-                findings.append(Finding(
-                    rule="registry-metrics-telemetry", file=METRICS_HEADER,
-                    line=0,
-                    message=f"NetworkMetrics::{counter} is missing from the "
-                            f"metrics summary exporter ({METRICS_EXPORTER})",
-                    key=f"telemetry:{counter}"))
-            if auditor is not None and \
-                    not re.search(rf"\b{counter}\b", auditor.code):
-                findings.append(Finding(
-                    rule="registry-metrics-audit", file=METRICS_HEADER, line=0,
-                    message=f"NetworkMetrics::{counter} is missing from the "
-                            f"invariant auditor's self-consistency/"
-                            f"monotonicity checks ({AUDITOR_SOURCE})",
-                    key=f"audit:{counter}"))
 
     metrics = parse_metric_entries(project)
     if metrics:

@@ -22,10 +22,6 @@ RULE_DESCRIPTIONS = {
     "layer-unassigned": "file matches no layer in scripts/layers.toml",
     "registry-event-emit": "TraceEventKind with no emit site",
     "registry-event-test": "TraceEventKind never referenced by a test",
-    "registry-metrics-telemetry":
-        "NetworkMetrics counter missing from the telemetry summary exporter",
-    "registry-metrics-audit":
-        "NetworkMetrics counter missing from the invariant auditor",
     "registry-backend-equivalence":
         "BackendKind missing from the engine-equivalence test marker",
     "check-level": "SNOC_CHECK level is not the literal 0, 1 or 2",
