@@ -9,13 +9,12 @@
 //   --sides 4,8,256     mesh sides to sweep (default 4,6,8,10,12,16)
 //   --ttl 40            rumor TTL (default 512; small TTLs keep the
 //                       active region a thin wavefront, the sparse
-//                       workload the --engine event executor skips idle
-//                       tiles on — scripts/bench_snapshot.sh drives a
-//                       1000x1000 mesh through it in seconds)
+//                       workload where the engine skips idle tiles —
+//                       scripts/bench_snapshot.sh drives a 1000x1000
+//                       mesh through it in seconds)
 // Each cell reports wall-clock seconds per trial next to the simulated
-// rounds, so lockstep-vs-event comparisons drop out of two runs; a trial
-// ends when the rumor has reached every tile or died out (quiescence),
-// and the coverage column tells which.
+// rounds; a trial ends when the rumor has reached every tile or died out
+// (quiescence), and the coverage column tells which.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -63,8 +62,8 @@ int main(int argc, char** argv) {
     // A single-trial cell (the mega-mesh configuration) shards its one
     // network across --jobs strips; multi-trial cells keep one strip and
     // let the trial fan-out fill the pool instead.
-    const EngineSelect engine =
-        bench::engine_select(opt, opt.repeats == 1 ? opt.jobs : 1);
+    EngineSelect engine;
+    engine.shards = opt.repeats == 1 ? opt.jobs : 1;
     const Round cap = std::max<Round>(2000, 4 * static_cast<Round>(ttl));
 
     struct Trial {
@@ -133,9 +132,7 @@ int main(int argc, char** argv) {
                        format_number(wall.mean(), 3)});
     }
     bench::emit(table, opt,
-                std::string("Ablation: broadcast scalability vs mesh size "
-                            "(p=0.5, engine=") +
-                    to_string(opt.engine) + ")");
+                "Ablation: broadcast scalability vs mesh size (p=0.5)");
     std::cout << "\nReading: rounds grow with the diameter (linear in the\n"
                  "side), per-tile per-round traffic stays flat - the locality\n"
                  "property that makes gossip viable at hundreds of IPs.\n";

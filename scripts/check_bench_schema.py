@@ -3,7 +3,7 @@
 
 scripts/bench_snapshot.sh writes them; this checker (stdlib only, run
 from ctest as `bench_schema`) keeps them honest: every snapshot must
-carry schema_version 1, the provenance block (machine, git_sha,
+carry its schema version (SCHEMA_VERSIONS), the provenance block (machine, git_sha,
 workload) and the per-snapshot payload the acceptance gates read.  A
 snapshot that drifts from the writer — a renamed key, a dropped table —
 fails here instead of surfacing as a KeyError deep inside
@@ -23,7 +23,10 @@ import json
 import os
 import sys
 
-SCHEMA_VERSION = 1
+# Per snapshot file; a file not listed here is checked at version 1.
+# Engine v2: one round engine, so ns_per_round is a flat side -> ns
+# table and the sparse gate is ns_per_round_256_over_32.
+SCHEMA_VERSIONS = {"BENCH_engine.json": 2, "BENCH_router.json": 1}
 
 
 def fail(path, message):
@@ -33,8 +36,9 @@ def fail(path, message):
 
 def check_common(path, snap):
     ok = True
-    if snap.get("schema_version") != SCHEMA_VERSION:
-        ok = fail(path, f"schema_version must be {SCHEMA_VERSION}, "
+    version = SCHEMA_VERSIONS.get(os.path.basename(path), 1)
+    if snap.get("schema_version") != version:
+        ok = fail(path, f"schema_version must be {version}, "
                         f"got {snap.get('schema_version')!r}")
     machine = snap.get("machine")
     if not isinstance(machine, dict):
@@ -67,21 +71,25 @@ def check_numeric_table(path, snap, key, subkeys):
 
 def check_engine(path, snap):
     ok = check_common(path, snap)
-    ok &= check_numeric_table(path, snap, "ns_per_round",
-                              ("lockstep", "event"))
+    ns = snap.get("ns_per_round")
+    if not isinstance(ns, dict) or not {"32", "256"} <= set(ns):
+        ok = fail(path, "ns_per_round missing or lacks sides 32 and 256")
+    else:
+        for side, value in ns.items():
+            if not isinstance(value, (int, float)):
+                ok = fail(path, f"ns_per_round[{side}] is not a number")
+    if not isinstance(snap.get("ns_per_round_256_over_32"), (int, float)):
+        ok = fail(path, "ns_per_round_256_over_32 missing or not a number")
     ok &= check_numeric_table(path, snap, "gossip_round_ns",
                               ("detached", "recorded"))
     overhead = snap.get("flight_recorder_overhead")
     if not isinstance(overhead, dict) or not overhead:
         ok = fail(path, "flight_recorder_overhead missing or empty")
-    speedup = snap.get("sparse_speedup_event_over_lockstep")
-    if not isinstance(speedup, dict) or not speedup:
-        ok = fail(path, "sparse_speedup_event_over_lockstep missing or empty")
     scal = snap.get("scalability")
     if not isinstance(scal, dict):
         ok = fail(path, "scalability missing")
     else:
-        for cell in ("lockstep_256x256_broadcast", "event_1000x1000_sparse"):
+        for cell in ("dense_256x256_broadcast", "sparse_1000x1000"):
             row = scal.get(cell)
             if not isinstance(row, dict):
                 ok = fail(path, f"scalability.{cell} missing")
@@ -128,19 +136,17 @@ def diff_engine(old_path, new_path):
         old = json.load(f)
     with open(new_path) as f:
         new = json.load(f)
-    old_table = old.get("ns_per_round", {})
-    new_table = new.get("ns_per_round", {})
-    for engine in sorted(set(old_table) | set(new_table)):
-        old_cells = old_table.get(engine, {})
-        new_cells = new_table.get(engine, {})
-        for side in sorted(set(old_cells) & set(new_cells), key=int):
-            before, after = old_cells[side], new_cells[side]
-            if not before:
-                continue
-            delta = (after - before) / before * 100.0
-            marker = "  <-- regression?" if delta > 10.0 else ""
-            print(f"ns_per_round {engine}/{side}: {before:.0f} -> "
-                  f"{after:.0f} ns ({delta:+.1f}%){marker}")
+    old_cells = old.get("ns_per_round", {})
+    new_cells = new.get("ns_per_round", {})
+    for side in sorted(set(old_cells) & set(new_cells), key=int):
+        before, after = old_cells[side], new_cells[side]
+        # A schema-v1 snapshot nests per-engine tables; nothing to compare.
+        if not isinstance(before, (int, float)) or not before:
+            continue
+        delta = (after - before) / before * 100.0
+        marker = "  <-- regression?" if delta > 10.0 else ""
+        print(f"ns_per_round {side}: {before:.0f} -> "
+              f"{after:.0f} ns ({delta:+.1f}%){marker}")
     print("check_bench_schema: diff is informational only (machine noise "
           "dominates cross-run deltas); not failing the build on it")
     return True

@@ -31,7 +31,7 @@ public:
 
 private:
     // The counters are shared by every replay IP and are atomic so the
-    // event engine may deliver to different tiles on parallel shards.
+    // round engine may deliver to different tiles on parallel shards.
     // The replay stays deterministic at any shard count because the
     // updates commute: each trace message is counted exactly once (per-IP
     // seen_ dedup), and the phase can only advance after every message of

@@ -1,7 +1,7 @@
 // Clang thread-safety annotations + the annotated lock vocabulary.
 //
 // The simulator's shared-state concurrency — the ThreadPool behind
-// run_trials, the event engine's shard batches, the ScenarioRunner's
+// run_trials, the round engine's shard batches, the ScenarioRunner's
 // progress ledger, HeartbeatWriter, the prof registry — is protected by
 // mutexes whose *discipline* used to live only in comments and in
 // whatever races a TSan run happened to execute.  This header turns that

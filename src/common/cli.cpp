@@ -70,27 +70,6 @@ std::size_t resolve_jobs(const CliArgs& args) {
     return jobs > 0 ? jobs : 1;
 }
 
-const char* to_string(EngineKind kind) {
-    return kind == EngineKind::Event ? "event" : "lockstep";
-}
-
-std::optional<EngineKind> engine_kind_from_string(std::string_view name) {
-    if (name == "lockstep") return EngineKind::Lockstep;
-    if (name == "event") return EngineKind::Event;
-    return std::nullopt;
-}
-
-EngineKind resolve_engine(const CliArgs& args) {
-    std::string name = args.get_string("engine", "");
-    if (name.empty()) {
-        if (const char* env = std::getenv("SNOC_ENGINE")) name = env;
-    }
-    if (name.empty()) return EngineKind::Lockstep;
-    const auto kind = engine_kind_from_string(name);
-    SNOC_EXPECT(kind.has_value()); // --engine must be lockstep or event
-    return *kind;
-}
-
 BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats) {
     BenchOptions options;
     options.csv = args.has("csv");
@@ -101,7 +80,6 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
         repeats > 0 ? static_cast<std::size_t>(repeats) : default_repeats;
     options.jobs = resolve_jobs(args);
     options.seed = args.get_u64("seed", 0);
-    options.engine = resolve_engine(args);
     options.telemetry.trace_jsonl_out = args.get_string("trace-out", "");
     options.telemetry.chrome_out = args.get_string("chrome-out", "");
     options.telemetry.heatmap_out = args.get_string("heatmap-out", "");

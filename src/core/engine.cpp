@@ -1,10 +1,14 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <functional>
 #include <optional>
 
+#include "common/annotations.hpp"
 #include "common/expect.hpp"
-#include "core/event_engine.hpp"
+#include "common/parallel.hpp"
 #include "noc/fec.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/prof.hpp"
@@ -14,8 +18,7 @@ namespace snoc {
 // ---------------------------------------------------------------------------
 // TileContext implementation handed to IP cores.  All side effects of the
 // IP's calls (counters, traces, active-set bookkeeping) flow through the
-// StepSink so the same code serves the lockstep engine (direct sink) and
-// the event engine's parallel shards (per-shard sinks).
+// calling shard's StepSink, so parallel shards never write shared state.
 class GossipNetwork::Context final : public TileContext {
 public:
     Context(GossipNetwork& net, TileId tile, StepSink& sink)
@@ -57,14 +60,12 @@ private:
         m.ttl = ttl_override != 0 ? ttl_override : net_.config_.default_ttl;
         m.payload = std::move(payload);
         MessageId evicted{kNoTile, 0};
-        MessageId* evicted_out =
-            (sink_.tracing || sink_.inserted) ? &evicted : nullptr;
-        if (t.send_buffer.insert(std::move(m), evicted_out)) {
+        const bool was_empty = t.send_buffer.empty();
+        if (t.send_buffer.insert(std::move(m), &evicted)) {
             ++sink_.metrics->messages_created;
             net_.sink_trace(sink_, TraceEventKind::MessageCreated, tile_, kNoTile, id);
             if (sink_.inserted) sink_.inserted->push_back(id);
-            if (sink_.activated && t.send_buffer.size() == 1)
-                sink_.activated->push_back(tile_);
+            if (was_empty) sink_.activated->push_back(tile_);
             if (evicted.origin != kNoTile) {
                 ++sink_.evictions;
                 net_.sink_trace(sink_, TraceEventKind::BufferEvicted, tile_, kNoTile,
@@ -105,31 +106,11 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     metrics_.packets_by_link.assign(topology_.link_count(), 0);
     crash_state_.dead_tiles.assign(n, false);
     crash_state_.dead_links.assign(topology_.link_count(), false);
-    if (engine.kind == EngineKind::Event)
-        event_ = std::make_unique<EventEngine>(*this, engine.shards);
-}
-
-// Out of line for the unique_ptr<EventEngine> member's deleter.
-GossipNetwork::~GossipNetwork() = default;
-
-EngineKind GossipNetwork::engine_kind() const {
-    return event_ ? EngineKind::Event : EngineKind::Lockstep;
-}
-
-bool GossipNetwork::event_active_set_consistent() const {
-    return event_ ? event_->active_set_consistent() : true;
+    shards_.resize(std::clamp<std::size_t>(engine.shards, 1, std::max<std::size_t>(n, 1)));
 }
 
 double GossipNetwork::elapsed_seconds() const {
-    return event_ ? event_->elapsed_seconds() : clocks_.elapsed();
-}
-
-GossipNetwork::StepSink GossipNetwork::direct_sink() {
-    StepSink sink;
-    sink.metrics = &metrics_;
-    sink.direct_trace = trace_;
-    sink.tracing = trace_ != nullptr;
-    return sink;
+    return dense_clocks_ ? clocks_.elapsed() : elapsed_accum_;
 }
 
 void GossipNetwork::sink_trace(StepSink& sink, TraceEventKind kind, TileId tile,
@@ -141,10 +122,7 @@ void GossipNetwork::sink_trace(StepSink& sink, TraceEventKind kind, TileId tile,
     event.tile = tile;
     event.peer = peer;
     event.message = message;
-    if (sink.trace_buffer)
-        sink.trace_buffer->push_back(event);
-    else
-        sink.direct_trace->record(event);
+    sink.trace_buffer->push_back(event);
 }
 
 void GossipNetwork::set_forward_capacity(TileId tile, std::size_t packets_per_round) {
@@ -211,15 +189,26 @@ void GossipNetwork::ensure_started() {
                        ? injector_.roll_exact_tile_crashes(topology_, *forced_exact_crashes_,
                                                            protected_tiles_)
                        : injector_.roll_crashes(topology_, protected_tiles_);
-    StepSink sink = direct_sink();
-    for (TileId t = 0; t < tiles_.size(); ++t) {
-        if (crash_state_.dead_tiles[t] || !tiles_[t].core) continue;
-        Context ctx(*this, t, sink);
-        tiles_[t].core->on_start(ctx);
+    for (TileId t = 0; t < tiles_.size(); ++t)
+        if (!crash_state_.dead_tiles[t] && tiles_[t].core)
+            shards_[shard_of(t)].cores.push_back(t);
+    // on_start effects flow through the shard sinks like any compute
+    // phase (serially: it runs once), so its sends seed the active lists.
+    for (Shard& sh : shards_) {
+        StepSink sink = shard_sink(sh);
+        for (const TileId t : sh.cores) {
+            Context ctx(*this, t, sink);
+            tiles_[t].core->on_start(ctx);
+        }
+        sh.evictions += sink.evictions;
     }
-    // The event engine snapshots post-on_start state (active tiles, core
-    // placement, knower counts, clock regime) exactly once, here.
-    if (event_) event_->bootstrap();
+    merge_shard_effects();
+    merge_activations();
+    bool scaled = false;
+    for (double s : clock_scale_)
+        if (s > 1.0) scaled = true;
+    dense_clocks_ = injector_.scenario().sigma_synchr > 0.0 || scaled;
+    elapsed_accum_ = clocks_.elapsed();
 }
 
 GossipNetwork::RunResult GossipNetwork::run_until(const std::function<bool()>& done,
@@ -246,11 +235,6 @@ GossipNetwork::RunResult GossipNetwork::run_until(const std::function<bool()>& d
 
 void GossipNetwork::step() {
     ensure_started();
-    if (event_) {
-        SNOC_PROF("engine/event_step");
-        event_->step();
-        return;
-    }
     packets_this_round_ = 0;
     // Fig. 3-4 phase order: receive (CRC filter + dedup) -> TTL decrement
     // and garbage collection -> forward.  The IP's turn (compute) sits
@@ -273,7 +257,14 @@ void GossipNetwork::step() {
         SNOC_PROF("engine/forward");
         forward_phase();
     }
-    advance_clocks();
+    // Without jitter draws or clock-scale islands every live clock
+    // advances by exactly t_r and skew stays zero, so local time is one
+    // accumulation (added, not multiplied: the same doubles as advancing
+    // every tile clock).
+    if (dense_clocks_)
+        advance_clocks();
+    else
+        elapsed_accum_ += clocks_.t_r();
     metrics_.add_round_packets(round_, packets_this_round_);
     ++round_;
     metrics_.rounds = round_;
@@ -282,6 +273,143 @@ void GossipNetwork::step() {
     // even without an attached InvariantAuditor (compiled out otherwise).
     SNOC_CHECK(2, ledger().balanced());
 }
+
+// ---------------------------------------------------------------------------
+// Shards.
+
+std::size_t GossipNetwork::shard_of(TileId t) const {
+    // Contiguous ascending strips: shard s owns { t : floor(t*S/n) == s }.
+    return static_cast<std::size_t>(t) * shards_.size() / tiles_.size();
+}
+
+std::size_t GossipNetwork::shard_merge_index(std::size_t s) const {
+    return s; // canonical merge order: ascending strips. [mutation-point:shard-order]
+}
+
+// ---------------------------------------------------------------------------
+// Shard fan-out.  run_trials() is unsuitable here: its completion barrier
+// waits for every *helper job* to execute, and an engine sharding inside a
+// trial that is itself running on a pool worker could then deadlock (all
+// workers blocked in barriers, helper jobs stuck behind them in the
+// queue).  This batch instead counts *shards*: the caller participates,
+// can finish every shard alone if the pool is saturated, and late-waking
+// helpers find the counter exhausted and exit without running anything.
+namespace {
+struct ShardBatch {
+    ShardBatch(std::function<void(std::size_t)> f, std::size_t n)
+        : fn(std::move(f)), total(n) {}
+
+    const std::function<void(std::size_t)> fn; ///< immutable after construction.
+    const std::size_t total;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    Mutex mutex;
+    CondVar cv;
+    std::exception_ptr error SNOC_GUARDED_BY(mutex);
+
+    void work() {
+        for (;;) {
+            const std::size_t s =
+                next.fetch_add(1, std::memory_order_relaxed); // relaxed[claim-counter]
+            if (s >= total) return;
+            try {
+                fn(s);
+            } catch (...) {
+                LockGuard lock(mutex);
+                if (!error) error = std::current_exception();
+            }
+            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
+                LockGuard lock(mutex);
+                cv.notify_all();
+            }
+        }
+    }
+};
+} // namespace
+
+void GossipNetwork::run_sharded(const std::function<void(std::size_t)>& fn) {
+    const std::size_t total = shards_.size();
+    if (total == 1) {
+        fn(0);
+        return;
+    }
+    auto batch = std::make_shared<ShardBatch>(fn, total);
+    const std::size_t helpers = std::min(total - 1, ThreadPool::shared().size());
+    for (std::size_t h = 0; h < helpers; ++h)
+        ThreadPool::shared().submit([batch] { batch->work(); });
+    batch->work();
+    {
+        UniqueLock lock(batch->mutex);
+        while (batch->done.load(std::memory_order_acquire) != batch->total)
+            batch->cv.wait(lock);
+    }
+    // All error writes happen strictly before the final `done` increment,
+    // so this post-barrier read needs the lock only to satisfy the
+    // guarded_by contract (it is uncontended by construction).
+    std::exception_ptr error;
+    {
+        LockGuard lock(batch->mutex);
+        error = batch->error;
+    }
+    if (error) std::rethrow_exception(error);
+}
+
+GossipNetwork::StepSink GossipNetwork::shard_sink(Shard& sh) {
+    StepSink sink;
+    sink.metrics = &sh.delta;
+    sink.trace_buffer = &sh.events;
+    sink.tracing = trace_ != nullptr;
+    sink.unicasts = &sh.unicasts;
+    sink.inserted = knowers_ ? &sh.inserted : nullptr;
+    sink.activated = &sh.newly_active;
+    return sink;
+}
+
+void GossipNetwork::merge_delta(NetworkMetrics& delta) {
+    // delta.rounds stays 0: only the serial round close counts rounds.
+#define SNOC_NETWORK_COUNTER_MERGE(name, doc) metrics_.name += delta.name;
+    SNOC_NETWORK_COUNTER_LIST(SNOC_NETWORK_COUNTER_MERGE)
+#undef SNOC_NETWORK_COUNTER_MERGE
+    delta = NetworkMetrics{};
+}
+
+void GossipNetwork::merge_shard_effects() {
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+        Shard& sh = shards_[shard_merge_index(i)];
+        merge_delta(sh.delta);
+        if (trace_)
+            for (const TraceEvent& ev : sh.events) trace_->record(ev);
+        sh.events.clear();
+        for (const MessageId& id : sh.unicasts) delivered_unicasts_.insert(id);
+        sh.unicasts.clear();
+        for (const MessageId& id : sh.inserted) ++(*knowers_)[id];
+        sh.inserted.clear();
+        evictions_seen_ += sh.evictions;
+        sh.evictions = 0;
+    }
+}
+
+void GossipNetwork::merge_activations() {
+    for (Shard& sh : shards_) {
+        if (sh.newly_active.empty()) continue;
+        // An empty -> non-empty transition means the tile was not on the
+        // list, so sorting the few newcomers and merging in place keeps
+        // `active` sorted and unique.  (Untraced receive passes deliver
+        // in bucket order, so newcomers need not arrive ascending.)
+        std::sort(sh.newly_active.begin(), sh.newly_active.end());
+        const auto middle = static_cast<std::ptrdiff_t>(sh.active.size());
+        sh.active.insert(sh.active.end(), sh.newly_active.begin(),
+                         sh.newly_active.end());
+        std::inplace_merge(sh.active.begin(), sh.active.begin() + middle,
+                           sh.active.end());
+        sh.newly_active.clear();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Phases.  Each runs a serial pass for everything that draws from a
+// global stream or touches cross-shard state, and fans the per-tile work
+// out over the shards.
 
 void GossipNetwork::receive_phase() {
     auto& bucket = in_flight_[round_ % kInFlightRing];
@@ -292,8 +420,15 @@ void GossipNetwork::receive_phase() {
     // capacity across rounds.
     arrivals_scratch_.clear();
     std::swap(arrivals_scratch_, bucket);
-    StepSink deliver_sink = direct_sink();
+    backlog_touched_.clear();
+    // Serial pass 1, in bucket order: everything that consumes the global
+    // overflow stream or touches cross-shard structures (the ring, the
+    // backlog counters) — crash drops, slow-clock deferrals, forced and
+    // port-capacity overflows.  Survivors are routed to their owning
+    // shard tagged with their bucket position.
+    std::uint32_t seq = 0;
     for (auto& [dest, arrival] : arrivals_scratch_) {
+        ++seq;
         if (crash_state_.dead_tiles[dest]) { // delivered into silence
             ++metrics_.crash_drops;
             trace(TraceEventKind::CrashDrop, dest);
@@ -323,34 +458,57 @@ void GossipNetwork::receive_phase() {
             continue;
         }
         ++tile.inbox_backlog;
-
-        std::optional<Message> decoded;
-        bool corrected_this_packet = false;
-        if (config_.link_protection == LinkProtection::SecdedCorrect) {
-            // Strip the SECDED layer first; single-bit upsets per word are
-            // repaired here, before the CRC ever sees them.
-            auto recovered = fec::recover(*arrival.wire);
-            if (!recovered.ok) {
-                ++metrics_.fec_uncorrectable;
-                trace(TraceEventKind::FecUncorrectable, dest);
+        backlog_touched_.push_back(dest);
+        shards_[shard_of(dest)].arrivals.push_back(Work{dest, seq, std::move(arrival)});
+    }
+    // Parallel pass 2: decode (FEC strip + CRC — the expensive part) and
+    // deliver.  Each tile sees its own arrivals in bucket order either
+    // way.  Deliveries to different tiles commute except in the order
+    // their trace events are buffered, so only a traced run sorts by
+    // (destination, bucket position), which makes the concatenated event
+    // stream independent of the shard count.
+    const bool tracing = trace_ != nullptr;
+    run_sharded([this, tracing](std::size_t s) {
+        Shard& sh = shards_[s];
+        if (tracing)
+            std::sort(sh.arrivals.begin(), sh.arrivals.end(),
+                      [](const Work& a, const Work& b) {
+                          return a.dest != b.dest ? a.dest < b.dest : a.seq < b.seq;
+                      });
+        StepSink sink = shard_sink(sh);
+        for (Work& w : sh.arrivals) {
+            std::optional<Message> decoded;
+            bool corrected_this_packet = false;
+            if (config_.link_protection == LinkProtection::SecdedCorrect) {
+                // Strip the SECDED layer first; single-bit upsets per word
+                // are repaired here, before the CRC ever sees them.
+                auto recovered = fec::recover(*w.arrival.wire);
+                if (!recovered.ok) {
+                    ++sink.metrics->fec_uncorrectable;
+                    sink_trace(sink, TraceEventKind::FecUncorrectable, w.dest);
+                    continue;
+                }
+                sink.metrics->fec_corrected += recovered.corrected_words;
+                corrected_this_packet = recovered.corrected_words > 0;
+                decoded = Packet::decode_wire(recovered.payload);
+            } else {
+                decoded = Packet::decode_wire(*w.arrival.wire);
+            }
+            if (!decoded) {
+                ++sink.metrics->crc_drops; // scrambled packet, CRC caught it
+                sink_trace(sink, TraceEventKind::CrcDrop, w.dest);
                 continue;
             }
-            metrics_.fec_corrected += recovered.corrected_words;
-            corrected_this_packet = recovered.corrected_words > 0;
-            decoded = Packet::decode_wire(recovered.payload);
-        } else {
-            decoded = Packet::decode_wire(*arrival.wire);
+            if (w.arrival.corrupted && !corrected_this_packet)
+                ++sink.metrics->upsets_undetected;
+            deliver_and_insert(w.dest, std::move(*decoded), sink);
         }
-        if (!decoded) {
-            ++metrics_.crc_drops; // scrambled packet, CRC caught it
-            trace(TraceEventKind::CrcDrop, dest);
-            continue;
-        }
-        if (arrival.corrupted && !corrected_this_packet)
-            ++metrics_.upsets_undetected;
-        deliver_and_insert(dest, std::move(*decoded), deliver_sink);
-    }
-    for (auto& tile : tiles_) tile.inbox_backlog = 0;
+        sh.arrivals.clear();
+        sh.evictions += sink.evictions;
+    });
+    merge_shard_effects();
+    merge_activations();
+    for (const TileId t : backlog_touched_) tiles_[t].inbox_backlog = 0;
 }
 
 void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
@@ -387,14 +545,12 @@ void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
     if (message.ttl > 0) {
         const MessageId id = message.id;
         MessageId evicted{kNoTile, 0};
-        MessageId* evicted_out =
-            (sink.tracing || sink.inserted) ? &evicted : nullptr;
-        if (tile.send_buffer.insert(std::move(message), evicted_out)) {
+        const bool was_empty = tile.send_buffer.empty();
+        if (tile.send_buffer.insert(std::move(message), &evicted)) {
             ++sink.metrics->packets_accepted;
             sink_trace(sink, TraceEventKind::Accepted, tile_id, kNoTile, id);
             if (sink.inserted) sink.inserted->push_back(id);
-            if (sink.activated && tile.send_buffer.size() == 1)
-                sink.activated->push_back(tile_id);
+            if (was_empty) sink.activated->push_back(tile_id);
             if (evicted.origin != kNoTile) {
                 ++sink.evictions;
                 sink_trace(sink, TraceEventKind::BufferEvicted, tile_id, kNoTile,
@@ -409,52 +565,101 @@ void GossipNetwork::core_round(TileId t, StepSink& sink) {
     tiles_[t].core->on_round(ctx);
 }
 
+void GossipNetwork::age_phase() {
+    run_sharded([this](std::size_t s) {
+        Shard& sh = shards_[s];
+        StepSink sink = shard_sink(sh);
+        std::vector<MessageId> expired;
+        std::size_t w = 0;
+        for (std::size_t r = 0; r < sh.active.size(); ++r) {
+            const TileId t = sh.active[r];
+            auto& buffer = tiles_[t].send_buffer;
+            if (tile_active_this_round(t)) { // [mutation-point:age-tile]
+                expired.clear();
+                sink.metrics->ttl_expired +=
+                    buffer.age_and_collect(sink.tracing ? &expired : nullptr);
+                for (const MessageId& id : expired)
+                    sink_trace(sink, TraceEventKind::TtlExpired, t, kNoTile, id);
+            }
+            // Ageing is the only way a buffer empties; drop the tile from
+            // the active list the moment it holds nothing to forward.
+            if (!buffer.empty()) sh.active[w++] = t;
+        }
+        sh.active.resize(w);
+    });
+    merge_shard_effects();
+    // Fold in the evictions seen since the last age phase.  Evictions in
+    // the compute and forward phases after this point land in the next
+    // round's fold, so the metric trails the buffers by part of a round
+    // (ledger() reads the buffers directly for that reason).
+    metrics_.overflow_drops += evictions_seen_ - evictions_folded_;
+    evictions_folded_ = evictions_seen_;
+}
+
 void GossipNetwork::compute_phase() {
-    StepSink sink = direct_sink();
-    for (TileId t = 0; t < tiles_.size(); ++t) {
-        if (crash_state_.dead_tiles[t] || !tiles_[t].core) continue;
-        if (!tile_active_this_round(t)) continue;
-        core_round(t, sink);
-    }
+    run_sharded([this](std::size_t s) {
+        Shard& sh = shards_[s];
+        StepSink sink = shard_sink(sh);
+        for (const TileId t : sh.cores) {
+            if (!tile_active_this_round(t)) continue;
+            core_round(t, sink);
+        }
+        sh.evictions += sink.evictions;
+    });
+    merge_shard_effects();
+    merge_activations();
 }
 
 void GossipNetwork::forward_phase() {
-    for (TileId t = 0; t < tiles_.size(); ++t) {
-        if (crash_state_.dead_tiles[t]) continue;
-        if (!tile_active_this_round(t)) continue;
-        auto& tile = tiles_[t];
-        if (tile.send_buffer.empty()) continue;
-        const auto& nbrs = topology_.neighbours(t);
-        const auto& links = topology_.out_links(t);
-        std::size_t budget = forward_capacity_[t];
-        const auto& msgs = tile.send_buffer.messages();
-        // A capacity-limited tile (bus bridge) serves its buffer with a
-        // rotating start so a long-lived rumor cannot starve newer ones of
-        // the serialised medium.
-        const std::size_t offset =
-            (budget >= msgs.size()) ? 0 : static_cast<std::size_t>(round_) % msgs.size();
-        for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
-            const Message& m = msgs[(mi + offset) % msgs.size()];
-            if (budget == 0) break; // serialised medium saturated this round
-            if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id))
-                continue; // spread terminated early (Sec. 3.2.2)
-            // Encode-once: the up-to-4 port transmissions of this message
-            // share a single wire image, built lazily when the first port
-            // gate opens (a message that forwards nowhere this round costs
-            // no serialisation at all).  Upset transmissions copy before
-            // corrupting; see enqueue_transmission.
-            std::shared_ptr<const std::vector<std::byte>> wire;
-            for (std::size_t i = 0; i < nbrs.size() && budget > 0; ++i) {
-                // Fig. 3-4: the message is presented on every output port
-                // and a random decision (probability p) gates each port.
-                if (!forward_rng_[t].bernoulli(config_.forward_p)) continue;
-                if (crash_state_.dead_links[links[i]]) continue;
-                if (route_filter_[t] && !route_filter_[t](m, nbrs[i])) continue;
-                if (!wire || config_.reference_encode_path) wire = encode_message(m);
-                enqueue_transmission(t, nbrs[i], links[i], m.id, wire);
-                --budget;
+    // Pass A (parallel): per-tile port gating and encoding.  Only the
+    // tile's own stream is consumed, and the encode-once wire image is
+    // built off the serial path.
+    run_sharded([this](std::size_t s) {
+        Shard& sh = shards_[s];
+        for (const TileId t : sh.active) {
+            if (!tile_active_this_round(t)) continue;
+            const auto& nbrs = topology_.neighbours(t);
+            const auto& links = topology_.out_links(t);
+            std::size_t budget = forward_capacity_[t];
+            const auto& msgs = tiles_[t].send_buffer.messages();
+            // A capacity-limited tile (bus bridge) serves its buffer with a
+            // rotating start so a long-lived rumor cannot starve newer ones
+            // of the serialised medium.
+            const std::size_t offset =
+                (budget >= msgs.size()) ? 0 : static_cast<std::size_t>(round_) % msgs.size();
+            for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
+                const Message& m = msgs[(mi + offset) % msgs.size()];
+                if (budget == 0) break; // serialised medium saturated this round
+                if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id))
+                    continue; // spread terminated early (Sec. 3.2.2)
+                // Encode-once: the up-to-4 port transmissions of this message
+                // share a single wire image, built lazily when the first port
+                // gate opens (a message that forwards nowhere this round costs
+                // no serialisation at all).  Upset transmissions copy before
+                // corrupting; see enqueue_transmission.
+                std::shared_ptr<const std::vector<std::byte>> wire;
+                for (std::size_t i = 0; i < nbrs.size() && budget > 0; ++i) {
+                    // Fig. 3-4: the message is presented on every output port
+                    // and a random decision (probability p) gates each port.
+                    if (!forward_rng_[t].bernoulli(config_.forward_p)) continue;
+                    if (crash_state_.dead_links[links[i]]) continue;
+                    if (route_filter_[t] && !route_filter_[t](m, nbrs[i])) continue;
+                    if (!wire || config_.reference_encode_path) wire = encode_message(m);
+                    sh.plans.push_back(Plan{t, nbrs[i], links[i], m.id, wire});
+                    --budget;
+                }
             }
         }
+    });
+    // Pass B (serial, canonical order): replay the planned transmissions
+    // through enqueue_transmission so upset draws, skew checks, ring
+    // appends, link counters and traces happen in ascending tile order —
+    // ascending strips concatenate to ascending tiles.
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+        Shard& sh = shards_[shard_merge_index(i)];
+        for (Plan& p : sh.plans)
+            enqueue_transmission(p.from, p.to, p.link, p.id, std::move(p.wire));
+        sh.plans.clear();
     }
 }
 
@@ -504,24 +709,6 @@ void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
     in_flight_[arrival_round % kInFlightRing].emplace_back(to, std::move(arrival));
 }
 
-void GossipNetwork::age_phase() {
-    std::size_t sendbuf_overflows = 0;
-    std::vector<MessageId> expired;
-    for (TileId t = 0; t < tiles_.size(); ++t) {
-        if (!crash_state_.dead_tiles[t] && tile_active_this_round(t)) {
-            expired.clear();
-            metrics_.ttl_expired += tiles_[t].send_buffer.age_and_collect(
-                trace_ ? &expired : nullptr);
-            for (const MessageId& id : expired)
-                trace(TraceEventKind::TtlExpired, t, kNoTile, id);
-        }
-        sendbuf_overflows += tiles_[t].send_buffer.overflow_drops();
-    }
-    // SendBuffer counters are cumulative; fold in only this round's delta.
-    metrics_.overflow_drops += sendbuf_overflows - sendbuf_overflow_snapshot_;
-    sendbuf_overflow_snapshot_ = sendbuf_overflows;
-}
-
 void GossipNetwork::advance_clocks() {
     for (TileId t = 0; t < tiles_.size(); ++t) {
         if (!tile_active_this_round(t)) continue;
@@ -534,11 +721,8 @@ void GossipNetwork::advance_clocks() {
 bool GossipNetwork::quiescent() const {
     for (const auto& bucket : in_flight_)
         if (!bucket.empty()) return false;
-    // The event engine answers from its active set in O(shards); falls
-    // back to the full scan before bootstrap (both see empty buffers).
-    if (event_ && event_->bootstrapped()) return event_->no_active_tiles();
-    for (const auto& tile : tiles_)
-        if (!tile.send_buffer.empty()) return false;
+    for (const Shard& sh : shards_)
+        if (!sh.active.empty()) return false;
     return true;
 }
 
@@ -572,15 +756,38 @@ std::size_t GossipNetwork::live_link_count() {
 
 std::size_t GossipNetwork::tiles_knowing(const MessageId& id) {
     ensure_started();
-    // The event engine keeps an exact per-rumor knower count (every
-    // successful send-buffer insert is one new live knower; knows() is
-    // monotone and crashes only roll at start), making the Fig. 3-1
-    // spread predicate O(1) instead of O(N) per round on mega-meshes.
-    if (event_) return event_->tiles_knowing(id);
-    std::size_t count = 0;
+    if (!knowers_) {
+        // known() is a superset of the held messages (ids survive ageing
+        // and eviction) — exactly the knows() predicate.  Iteration order
+        // is irrelevant for a counter map.
+        knowers_.emplace();
+        for (TileId t = 0; t < tiles_.size(); ++t)
+            if (!crash_state_.dead_tiles[t])
+                for (const MessageId& known : tiles_[t].send_buffer.known())
+                    ++(*knowers_)[known];
+    }
+    const auto it = knowers_->find(id);
+    return it == knowers_->end() ? 0 : it->second;
+}
+
+bool GossipNetwork::active_set_consistent() const {
+    std::size_t listed = 0;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const auto& active = shards_[s].active;
+        for (std::size_t i = 0; i < active.size(); ++i) {
+            const TileId t = active[i];
+            if (i > 0 && active[i - 1] >= t) return false; // sorted, unique
+            if (shard_of(t) != s) return false;            // owned strip
+            if (crash_state_.dead_tiles[t]) return false;
+            if (tiles_[t].send_buffer.empty()) return false;
+        }
+        listed += active.size();
+    }
+    // Completeness: every live tile with a non-empty buffer is listed.
+    std::size_t expected = 0;
     for (TileId t = 0; t < tiles_.size(); ++t)
-        if (!crash_state_.dead_tiles[t] && tiles_[t].send_buffer.knows(id)) ++count;
-    return count;
+        if (!crash_state_.dead_tiles[t] && !tiles_[t].send_buffer.empty()) ++expected;
+    return listed == expected;
 }
 
 const SendBuffer& GossipNetwork::send_buffer(TileId t) const {

@@ -12,6 +12,35 @@
 //
 // Crashed tiles/links, data upsets, forced overflows and clock-skew
 // deferrals are applied exactly where they would strike on silicon.
+//
+// A round touches only the tiles that can have work, in the spirit of
+// Graphite's event-driven NoC scheduler:
+//
+//   * tiles with pending arrivals (the in-flight ring buckets packets by
+//     arrival round — it is the round-bucketed event queue);
+//   * tiles on the active list (live, non-empty send buffer: something
+//     to age and something to forward);
+//   * live tiles hosting IP cores (an IP may act in any round);
+//   * per-tile clocks only when a draw is owed (sigma_synchr > 0) or a
+//     clock-scale island exists; otherwise local time is analytic.
+//
+// A tile on none of the first three lists does nothing in any phase, so
+// skipping it changes no result: the active list holds exactly the live
+// tiles with non-empty send buffers (active_set_consistent, audited per
+// round), every global RNG draw (overflow, upset, clock jitter) happens
+// in one serial pass in ascending tile order, and per-tile streams only
+// advance from work on that tile.  tests/test_engine_golden.cpp pins the
+// outputs of every scenario shape against frozen goldens.
+//
+// Sharding: the mesh is split into `shards` contiguous ascending tile
+// strips run on the shared ThreadPool (common/parallel.hpp).  Parallel
+// phases only touch per-tile / per-shard state; everything global
+// (injector draws, ring appends, metric vectors, trace emission) runs in
+// short serial passes in canonical order — ascending shard order, which
+// equals ascending tile order for ANY strip count.  Per-shard buffers
+// therefore concatenate to the same sequence wherever the strip
+// boundaries fall, which is why results are byte-identical at any
+// --jobs value.  See DESIGN.md §12.
 #pragma once
 
 #include <array>
@@ -19,6 +48,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -37,18 +67,12 @@
 
 namespace snoc {
 
-class EventEngine;
-
 class GossipNetwork {
 public:
-    /// `engine` picks the round executor: the default lockstep engine
-    /// walks every tile every round; EngineKind::Event delegates rounds
-    /// to the sparse-activity EventEngine (core/event_engine.hpp), which
-    /// produces bit-identical metrics, traces and clocks for any shard
-    /// count (test_engine_equivalence proves it).
+    /// `engine.shards` requests that many tile strips (clamped to
+    /// [1, tiles]); results are byte-identical for any count.
     GossipNetwork(Topology topology, GossipConfig config, FaultScenario scenario,
                   std::uint64_t seed, EngineSelect engine = {});
-    ~GossipNetwork();
 
     /// Map an IP core onto a tile.  Must be called before the first round.
     void attach(TileId tile, std::unique_ptr<IpCore> core);
@@ -107,14 +131,14 @@ public:
     const NetworkMetrics& metrics() const { return metrics_; }
     const CrashState& crashes();
     Round round() const { return round_; }
+    /// Local time: analytic accumulation of t_r per round when no clock
+    /// draws or islands exist, the per-tile clock vector otherwise.
     double elapsed_seconds() const;
-    /// Which engine executes rounds (EngineSelect at construction).
-    EngineKind engine_kind() const;
-    /// Event engine only: true iff its active-tile set equals the set of
-    /// live tiles with non-empty send buffers (the invariant that makes
-    /// skipping sound).  Always true under lockstep.  O(N); the
+    /// True iff the active lists hold exactly the live tiles with
+    /// non-empty send buffers, each once, ascending within its own strip
+    /// (the invariant that makes skipping idle tiles sound).  O(N); the
     /// InvariantAuditor calls it per audited round.
-    bool event_active_set_consistent() const;
+    bool active_set_consistent() const;
 
     bool tile_alive(TileId t);
     std::size_t live_link_count();
@@ -129,7 +153,10 @@ public:
     /// benches to account for the full broadcast lifetime.
     void drain(Round max_extra_rounds = 1000);
     /// How many live tiles currently know (hold or held) message `id` —
-    /// the spread curve of Fig. 3-1.
+    /// the spread curve of Fig. 3-1.  The first call counts from every
+    /// live send buffer; from then on each successful insert adds one
+    /// knower (knows() is monotone and crashes only roll at start), so
+    /// a per-round spread predicate costs O(1), not O(N).
     std::size_t tiles_knowing(const MessageId& id);
     const SendBuffer& send_buffer(TileId t) const;
 
@@ -161,37 +188,86 @@ private:
     class Context; // TileContext implementation.
 
     /// Effect sink for one delivery / compute call: where scalar
-    /// counters, trace events and bookkeeping side-effects land.  The
-    /// lockstep engine points it straight at metrics_ / trace_; the event
-    /// engine hands per-shard sinks so parallel shards never write shared
-    /// state (deltas are merged serially, in ascending shard order, at
-    /// phase end — which keeps results byte-identical at any shard
-    /// count).
+    /// counters, trace events and bookkeeping side-effects land.  Each
+    /// shard has its own, so parallel shards never write shared state;
+    /// deltas are merged serially, in ascending shard order, at phase end.
     struct StepSink {
-        NetworkMetrics* metrics{nullptr};  ///< scalar counter target.
-        TraceSink* direct_trace{nullptr};  ///< emit here when not buffering.
-        std::vector<TraceEvent>* trace_buffer{nullptr}; ///< shard buffer.
-        bool tracing{false};               ///< any trace destination is on.
-        /// nullptr: stop-spread ids go straight into delivered_unicasts_.
+        NetworkMetrics* metrics{nullptr};           ///< scalar counter delta.
+        std::vector<TraceEvent>* trace_buffer{nullptr}; ///< shard's events.
+        bool tracing{false};                        ///< a trace sink is attached.
+        /// stop-spread ids, merged into delivered_unicasts_.
         std::vector<MessageId>* unicasts{nullptr};
-        /// Event-engine bookkeeping (all nullptr under lockstep): ids
-        /// successfully inserted into send buffers (knower accounting),
-        /// tiles whose buffer went empty -> non-empty (active-set
-        /// maintenance), and how many insertions evicted a victim.
+        /// Ids successfully inserted into send buffers, for knower
+        /// counting; nullptr until tiles_knowing is first asked.
         std::vector<MessageId>* inserted{nullptr};
+        /// Tiles whose buffer went empty -> non-empty (active-set upkeep).
         std::vector<TileId>* activated{nullptr};
+        std::size_t evictions{0}; ///< insertions that evicted a victim.
+    };
+
+    /// One pending delivery that survived the serial receive pass.
+    struct Work {
+        TileId dest{0};
+        std::uint32_t seq{0}; ///< arrival order within the round's bucket.
+        Arrival arrival;
+    };
+    /// One planned transmission out of the parallel forward pass; the
+    /// serial pass replays these through enqueue_transmission in
+    /// canonical order, so upset draws, skew checks, ring appends and
+    /// metric vectors see one sequence at any shard count.
+    struct Plan {
+        TileId from{0};
+        TileId to{0};
+        LinkId link{0};
+        MessageId id{kNoTile, 0};
+        std::shared_ptr<const std::vector<std::byte>> wire;
+    };
+    struct Shard {
+        /// Live tiles with non-empty send buffers, ascending, unique.
+        std::vector<TileId> active;
+        /// Tiles whose buffer went empty -> non-empty this phase; merged
+        /// into `active` at the next sync point.
+        std::vector<TileId> newly_active;
+        /// Live tiles hosting an IP core (static after start).
+        std::vector<TileId> cores;
+        // --- per-round scratch (capacity persists across rounds) -------
+        std::vector<Work> arrivals;
+        std::vector<Plan> plans;
+        std::vector<TraceEvent> events;
+        std::vector<MessageId> unicasts;
+        std::vector<MessageId> inserted;
+        NetworkMetrics delta; ///< scalar counters only; vectors stay empty.
         std::size_t evictions{0};
     };
-    /// The lockstep sink: counters to metrics_, events to trace_.
-    StepSink direct_sink();
 
+    /// Roll crashes, run every live IP's on_start and seed the active
+    /// lists, core lists and clock regime; idempotent.
     void ensure_started();
     bool tile_active_this_round(TileId t) const;
     void receive_phase();
+    void age_phase();
     void compute_phase();
     void forward_phase();
-    void age_phase();
     void advance_clocks();
+
+    std::size_t shard_of(TileId t) const;
+    /// Run fn(shard) for every shard, fanned out over the shared
+    /// ThreadPool when shards > 1.  The caller participates (and can
+    /// finish every shard alone if the pool is saturated by outer trial
+    /// parallelism), so nesting inside run_trials cannot deadlock.
+    void run_sharded(const std::function<void(std::size_t)>& fn);
+    /// A sink wired to `sh`'s buffers: parallel phases write only here.
+    StepSink shard_sink(Shard& sh);
+    /// Canonical serial merge order over shards.  Ascending strips mean
+    /// ascending tiles for any shard count; every serial pass that folds
+    /// per-shard results into global state iterates via this helper.
+    std::size_t shard_merge_index(std::size_t s) const;
+    /// Fold one shard's scalar counter delta into metrics_.
+    void merge_delta(NetworkMetrics& delta);
+    /// Flush buffered trace events / unicasts / knower increments /
+    /// eviction counts of every shard, in canonical order.
+    void merge_shard_effects();
+    void merge_activations();
     void deliver_and_insert(TileId tile, Message message, StepSink& sink);
     /// Run `tile`'s IP core hook with a Context wired to `sink`.
     void core_round(TileId tile, StepSink& sink);
@@ -236,13 +312,25 @@ private:
     std::vector<std::pair<TileId, Arrival>> arrivals_scratch_;
     NetworkMetrics metrics_;
     std::size_t packets_this_round_{0};
-    std::size_t sendbuf_overflow_snapshot_{0};
     TraceSink* trace_{nullptr};
-    /// Non-null iff constructed with EngineKind::Event; owns the sparse
-    /// round executor, which reaches back in through the friendship below.
-    std::unique_ptr<EventEngine> event_;
 
-    friend class EventEngine;
+    std::vector<Shard> shards_;
+    /// sigma_synchr > 0 (per-tile duration draws owed every round) or a
+    /// clock-scale island exists (skew between domains becomes non-zero):
+    /// advance every tile clock each round.  Otherwise local clocks are
+    /// uniform and analytic: skew == 0, elapsed accumulates t_r per round.
+    bool dense_clocks_{false};
+    double elapsed_accum_{0.0};
+    /// Live tiles that ever held a given rumor; empty until tiles_knowing
+    /// is first asked (most runs never ask).
+    std::optional<std::unordered_map<MessageId, std::size_t>> knowers_;
+    /// Send-buffer evictions observed through sinks vs. how many have
+    /// been folded into metrics_.overflow_drops (at each age phase, so
+    /// the metric trails the buffers by the part of a round after ageing).
+    std::size_t evictions_seen_{0};
+    std::size_t evictions_folded_{0};
+    /// Tiles whose inbox_backlog the current receive pass raised.
+    std::vector<TileId> backlog_touched_;
 };
 
 } // namespace snoc

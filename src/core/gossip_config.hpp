@@ -61,7 +61,7 @@ struct GossipConfig {
     /// anew for every port transmission instead of encoding each held
     /// message once per round and sharing the bytes across its ports.
     /// Observable behaviour must be identical either way —
-    /// test_engine_equivalence asserts it metric-for-metric and
+    /// test_engine_golden asserts it metric-for-metric and
     /// perf_microbench's BM_GossipRoundReference measures what the
     /// sharing saves.  Never set this in real experiments.
     bool reference_encode_path{false};

@@ -10,9 +10,8 @@ namespace snoc {
 
 /// The scalar counters, one row each: X(name, "doc").  The row order is
 /// the field order and the metrics-JSON key order; the struct fields,
-/// the JSON summary, the invariant auditor's monotonicity snapshot, the
-/// event engine's shard-delta merge and the engine-equivalence
-/// comparator all expand these rows.  The conservation ledger
+/// the JSON summary, the invariant auditor's monotonicity snapshot and
+/// the round engine's shard-delta merge all expand these rows.  The conservation ledger
 /// (check/ledger.hpp) is an equation over a subset of them (crash_drops,
 /// port_overflow_drops and packets_accepted exist to complete its
 /// per-copy fate accounting) and stays hand-written.

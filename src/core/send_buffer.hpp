@@ -42,7 +42,7 @@ public:
     const std::vector<Message>& messages() const { return messages_; }
 
     /// Every id this tile has ever held (a superset of messages(): ids
-    /// survive ageing and eviction).  The event engine's bootstrap counts
+    /// survive ageing and eviction).  GossipNetwork::tiles_knowing counts
     /// knowers from it; iteration order is unspecified, so only
     /// order-insensitive accounting may read it.
     const std::unordered_set<MessageId>& known() const { return known_; }

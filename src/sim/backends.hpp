@@ -51,9 +51,8 @@ struct GossipSpec {
     /// route filters, forward capacities, clock scales (Ch. 5 hybrids).
     std::function<void(GossipNetwork&)> customize{};
     Technology tech{Technology::cmos_025um()};
-    /// Round executor (--engine): lockstep, or the sparse-activity
-    /// EventEngine with `engine.shards` intra-trial tile strips.  Results
-    /// are bit-identical either way (test_engine_equivalence).
+    /// Intra-trial tile strips for the round engine (`engine.shards`).
+    /// Results are byte-identical for any count (test_sharded_determinism).
     EngineSelect engine{};
 };
 

@@ -16,7 +16,7 @@
 // snapshot, manifest echo) followed by the last N events in the exact
 // JSONL dialect snoc_trace already reads.
 //
-// Sharded recordings: the event engine executes tile strips in parallel
+// Sharded recordings: the round engine executes tile strips in parallel
 // and each strip buffers its events locally before the canonical serial
 // merge.  `lane(s)` exposes one ring per shard so a sharded producer can
 // record without cross-thread contention; drain() then merges lanes
@@ -28,7 +28,7 @@
 // Concurrency model (DESIGN.md §16): deliberately lock-free and
 // atomic-free.  Each lane is single-writer by contract (one shard), and
 // drain()/size()/postmortem dumps only run after the producing phase has
-// joined — the event engine's countdown barrier publishes every lane
+// joined — the round engine's countdown barrier publishes every lane
 // write before the merger reads it.  There is therefore nothing for a
 // mutex or an atomic to protect, and record() stays one store + one
 // increment (test_concurrency_stress hammers this contract under TSan).

@@ -63,7 +63,7 @@ struct HeartbeatRecord {
     std::size_t retries{0};
     double cell_seconds{-1.0};    ///< wall time of the just-closed cell, if any.
     double eta_seconds{-1.0};     ///< linear extrapolation; -1 when unknowable.
-    std::uint64_t rounds_total{0}; ///< engine + event-engine rounds, registry.
+    std::uint64_t rounds_total{0}; ///< engine rounds, registry.
     std::uint64_t rounds_delta{0}; ///< since the previous heartbeat.
     std::uint64_t postmortems{0};
     bool done{false};

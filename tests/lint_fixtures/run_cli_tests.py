@@ -3,7 +3,9 @@
 
 * `--only determinism,rng,allowlist` exits with snoc_lint's status
   contract (0 clean, 1 findings, 2 broken configuration) instead of
-  always succeeding;
+  always succeeding, and an internal crash exits 2, not 1;
+* --changed-files keeps project-level findings (the metric registry and
+  BackendKind headers) that an edit to some other file causes;
 * --baseline-prune drops exactly the stale suppressions and keeps the
   live ones;
 * SARIF severity follows the per-rule map (error for structural rules,
@@ -55,6 +57,28 @@ def only_exit_codes() -> None:
     check("--only nonsense is a config error, exit 2",
           bad.returncode == 2,
           f"exit {bad.returncode}: {bad.stderr.strip()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        # Writing a report into a missing directory raises inside main().
+        crash = run([sys.executable, str(TOOL), "--root", str(FIXTURES / "clean"),
+                     "--no-baseline", "--json-out",
+                     str(Path(tmp) / "missing" / "out.json")])
+    check("an uncaught internal exception exits 2, not 1",
+          crash.returncode == 2 and "internal error" in crash.stderr,
+          f"exit {crash.returncode}: {crash.stderr.strip()[-200:]}")
+
+
+def changed_files_keeps_project_level() -> None:
+    # Each fixture's finding lives in a registry header; an edit to any
+    # other file (here one the fixture does not even contain) must still
+    # report it.
+    for fixture, rule in (("orphan_metric", "registry-metric-emit"),
+                          ("backend_kind_unlisted", "registry-backend-equivalence")):
+        res = run([sys.executable, str(TOOL), "--root", str(FIXTURES / fixture),
+                   "--no-baseline", "--only", "registry",
+                   "--changed-files", "src/elsewhere.cpp"])
+        check(f"--changed-files keeps the project-level [{rule}] finding",
+              res.returncode == 1 and f"[{rule}]" in res.stdout,
+              f"exit {res.returncode}: {res.stdout.strip()}")
 
 
 def baseline_prune() -> None:
@@ -132,6 +156,7 @@ def sarif_levels() -> None:
 
 def main() -> int:
     only_exit_codes()
+    changed_files_keeps_project_level()
     baseline_prune()
     sarif_levels()
     if FAILURES:

@@ -117,6 +117,35 @@ TEST(Engine, TtlBoundsMessageLifetime) {
     EXPECT_GT(net.metrics().ttl_expired, 0u);
 }
 
+TEST(Engine, EvictionIntoFullBufferAgesOncePerRound) {
+    // A one-slot send buffer: the second send of round 0 evicts the
+    // first, and the tile was already active.  It must stay on the
+    // active list once, so its rumor ages by exactly one TTL step per
+    // round.
+    class TwoShots final : public IpCore {
+    public:
+        void on_round(TileContext& ctx) override {
+            if (ctx.round() != 0) return;
+            ctx.send(kBroadcast, 1, {std::byte{1}});
+            ctx.send(kBroadcast, 2, {std::byte{2}});
+        }
+        void on_message(const Message&, TileContext&) override {}
+    };
+    GossipConfig c = flooding_config();
+    c.send_buffer_capacity = 1;
+    c.default_ttl = 5;
+    GossipNetwork net(Topology::mesh(4, 4), c, FaultScenario::none(), 6);
+    net.attach(0, std::make_unique<TwoShots>());
+    net.step(); // round 0 creates both; only the second is held
+    for (std::uint16_t round = 1; round <= 3; ++round) {
+        net.step();
+        EXPECT_TRUE(net.active_set_consistent()) << "round " << round;
+        const auto& held = net.send_buffer(0).messages();
+        ASSERT_EQ(held.size(), 1u);
+        EXPECT_EQ(held.front().ttl, c.default_ttl - round) << "round " << round;
+    }
+}
+
 TEST(Engine, QuiescentAfterTtlEverywhere) {
     GossipNetwork net(Topology::mesh(5, 5), flooding_config(), FaultScenario::none(), 5);
     net.attach(12, std::make_unique<OneShotSource>(kBroadcast));

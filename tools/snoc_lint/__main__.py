@@ -23,7 +23,8 @@ Checkers (--only takes a comma-separated subset):
                  scripts/concurrency_allowlist.txt,
                  scripts/ordering_allowlist.txt)
 
-Exit status: 0 clean, 1 findings, 2 broken configuration.
+Exit status: 0 clean, 1 findings, 2 broken configuration or an internal
+error (an uncaught exception must never read as "findings").
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import concurrency
@@ -59,6 +61,8 @@ PROJECT_LEVEL_FILES = {
     concurrency.ORDERING_ALLOWLIST_FILE,
     report.BASELINE_FILE,
     registry.TRACE_HEADER,
+    registry.METRIC_REGISTRY_HEADER,
+    registry.INTERCONNECT_HEADER,
 }
 
 
@@ -190,5 +194,15 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if active else 0
 
 
+def run() -> int:
+    """main(), with any uncaught exception reported as exit 2."""
+    try:
+        return main()
+    except Exception:  # noqa: BLE001 - the exit-status contract needs all
+        traceback.print_exc()
+        print("snoc_lint: internal error (exit 2)", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
